@@ -57,8 +57,14 @@ pub struct BenchEntry {
     /// in. Optional in the JSON, defaulting to 0.
     pub patterns_simulated_words: u64,
     /// Trials rejected from a pattern prefix by adaptive sampling before
-    /// full-budget simulation. Optional in the JSON, defaulting to 0.
+    /// full-budget simulation. Optional in the JSON, defaulting to 0;
+    /// records predating `similarity_early_rejects` also count SASIMI's
+    /// prefix-rejected pairs here.
     pub adaptive_early_decisions: u64,
+    /// SASIMI similarity-scan pairs rejected before a full-width scan (by
+    /// popcount or from a word prefix). Optional in the JSON, defaulting
+    /// to 0.
+    pub similarity_early_rejects: u64,
     /// Individual SAT queries (`solve_with_assumptions` calls) issued by
     /// the don't-care engine. Optional in the JSON, defaulting to 0.
     pub sat_queries: u64,
@@ -91,6 +97,7 @@ impl BenchEntry {
             resim_full_equivalent: r.metrics.resim_full_equivalent,
             patterns_simulated_words: r.metrics.patterns_simulated_words,
             adaptive_early_decisions: r.metrics.adaptive_early_decisions,
+            similarity_early_rejects: r.metrics.similarity_early_rejects,
             sat_queries: r.metrics.sat_queries,
             solver_instances: r.metrics.solver_instances,
             clauses_retracted: r.metrics.clauses_retracted,
@@ -123,6 +130,7 @@ impl BenchEntry {
             .set("resim_full_equivalent", self.resim_full_equivalent)
             .set("patterns_simulated_words", self.patterns_simulated_words)
             .set("adaptive_early_decisions", self.adaptive_early_decisions)
+            .set("similarity_early_rejects", self.similarity_early_rejects)
             .set("sat_queries", self.sat_queries)
             .set("solver_instances", self.solver_instances)
             .set("clauses_retracted", self.clauses_retracted)
@@ -170,6 +178,10 @@ impl BenchEntry {
                 .unwrap_or(0),
             adaptive_early_decisions: v
                 .get("adaptive_early_decisions")
+                .and_then(Json::as_u64)
+                .unwrap_or(0),
+            similarity_early_rejects: v
+                .get("similarity_early_rejects")
                 .and_then(Json::as_u64)
                 .unwrap_or(0),
             sat_queries: v.get("sat_queries").and_then(Json::as_u64).unwrap_or(0),
@@ -385,13 +397,19 @@ pub fn compare(old: &BenchRecord, new: &BenchRecord, opts: &CompareOptions) -> V
                 oe.resim_full_equivalent,
             ));
         }
-        // And for adaptive sampling going dark: a baseline that rejected
-        // trials from a pattern prefix must keep doing so, otherwise every
-        // trial silently pays the full simulation budget again.
-        if oe.adaptive_early_decisions > 0 && ne.adaptive_early_decisions == 0 {
+        // And for early decisions going dark: a baseline that rejected
+        // trials from a pattern prefix or similarity pairs before a full
+        // scan must keep doing so, otherwise every trial or pair silently
+        // pays the full simulation budget again. Records predating the
+        // split count both kinds in `adaptive_early_decisions`.
+        let early = |e: &BenchEntry| e.adaptive_early_decisions + e.similarity_early_rejects;
+        if early(oe) > 0 && early(ne) == 0 {
             regressions.push(format!(
-                "{} {} @{}: adaptive sampling rejected {} trials early in the baseline but 0 now",
-                new.circuit, oe.algorithm, oe.threshold, oe.adaptive_early_decisions,
+                "{} {} @{}: adaptive sampling rejected {} trials or pairs early in the baseline but 0 now",
+                new.circuit,
+                oe.algorithm,
+                oe.threshold,
+                early(oe),
             ));
         }
         // Mapped delay is gated only when both records carry it: records
@@ -564,6 +582,7 @@ mod tests {
             resim_full_equivalent: 0,
             patterns_simulated_words: 0,
             adaptive_early_decisions: 0,
+            similarity_early_rejects: 0,
             sat_queries: 0,
             solver_instances: 0,
             clauses_retracted: 0,
@@ -692,10 +711,12 @@ mod tests {
         let json = rec
             .render()
             .replace("\"patterns_simulated_words\": 0,", "")
-            .replace("\"adaptive_early_decisions\": 0,", "");
+            .replace("\"adaptive_early_decisions\": 0,", "")
+            .replace("\"similarity_early_rejects\": 0,", "");
         let parsed = BenchRecord::parse(&json).unwrap();
         assert_eq!(parsed.entries[0].patterns_simulated_words, 0);
         assert_eq!(parsed.entries[0].adaptive_early_decisions, 0);
+        assert_eq!(parsed.entries[0].similarity_early_rejects, 0);
     }
 
     #[test]
@@ -707,12 +728,27 @@ mod tests {
         new.entries[0].patterns_simulated_words = 1400;
         let regs = compare(&old, &new, &CompareOptions::default());
         assert_eq!(regs.len(), 1, "{regs:?}");
-        assert!(regs[0].contains("rejected 9 trials early"), "{regs:?}");
+        assert!(
+            regs[0].contains("rejected 9 trials or pairs early"),
+            "{regs:?}"
+        );
         // The reverse direction (sampling got *better*) is not a regression,
         // and neither are legacy records without the counters.
         assert!(compare(&new, &old, &CompareOptions::default()).is_empty());
         let legacy = record_with_runtime(1.0, 0.8);
         assert!(compare(&legacy, &new, &CompareOptions::default()).is_empty());
+        // A baseline that counted scan rejects as adaptive decisions stays
+        // clean against a record that counts them separately, and a scan
+        // whose early rejects go dark trips the gate as well.
+        let mut split = record_with_runtime(1.0, 0.8);
+        split.entries[0].similarity_early_rejects = 9;
+        assert!(compare(&old, &split, &CompareOptions::default()).is_empty());
+        let regs = compare(&split, &new, &CompareOptions::default());
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert!(
+            regs[0].contains("rejected 9 trials or pairs early"),
+            "{regs:?}"
+        );
     }
 
     #[test]

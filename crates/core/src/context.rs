@@ -7,6 +7,7 @@ use als_sim::{
     MagnitudeStats, PatternSet, SimResult, SimView, UpdateDelta,
 };
 use als_telemetry::{Event, Telemetry};
+use std::time::Instant;
 
 /// Shared plumbing for both algorithms: the frozen reference (golden PO
 /// signatures of the *original* network) and the stimulus, so every
@@ -76,26 +77,27 @@ impl AlsContext {
         &self.patterns
     }
 
-    /// The starting word prefix for adaptive probes (`None` under fixed
-    /// sampling).
-    pub(crate) fn adaptive_min_words(&self) -> Option<usize> {
-        self.adaptive_min_words
+    /// Starts a telemetry clock (`None` when no sink listens).
+    pub(crate) fn telemetry_mark(&self) -> Option<Instant> {
+        self.telemetry.start()
     }
 
     /// Emits one aggregated `similarity_scanned` event for a SASIMI
-    /// pairwise candidate sweep.
+    /// pairwise candidate sweep that started at `mark`.
     pub(crate) fn record_similarity_scan(
         &self,
         pairs: u64,
         early_rejects: u64,
         words: u64,
         words_full: u64,
+        mark: Option<Instant>,
     ) {
         self.telemetry.emit(|| Event::SimilarityScanned {
             pairs,
             early_rejects,
             words,
             words_full,
+            nanos: Telemetry::nanos_since(mark),
         });
     }
 
@@ -344,7 +346,20 @@ impl AlsContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PatternPolicy;
     use als_logic::{Cover, Cube};
+    use als_telemetry::TelemetrySink;
+    use std::sync::{Arc, Mutex};
+
+    /// Keeps every event it observes.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<Event>>);
+
+    impl TelemetrySink for Recorder {
+        fn record(&self, event: &Event) {
+            self.0.lock().unwrap().push(event.clone());
+        }
+    }
 
     #[test]
     fn measure_is_zero_for_unchanged_network() {
@@ -363,5 +378,64 @@ mod tests {
         let d = broken.pos()[0].1;
         broken.replace_with_constant(d, true);
         assert!(ctx.measure(&broken) > 0.4); // y = a' is wrong half the time
+    }
+
+    #[test]
+    fn trial_far_above_the_threshold_is_rejected_from_a_prefix() {
+        // y = a XOR b, replaced by constant 0: wrong on about half the
+        // patterns, far above a 1% threshold.
+        let mut net = Network::new("xor");
+        let a = net.add_pi("a");
+        let b = net.add_pi("b");
+        let y = net.add_node(
+            "y",
+            vec![a, b],
+            Cover::from_cubes(
+                2,
+                [
+                    Cube::from_literals(&[(0, true), (1, false)]).unwrap(),
+                    Cube::from_literals(&[(0, false), (1, true)]).unwrap(),
+                ],
+            ),
+        );
+        net.add_po("y", y);
+        let reject = |policy: PatternPolicy| {
+            let recorder = Arc::new(Recorder::default());
+            let config = AlsConfig::builder()
+                .threshold(0.01)
+                .patterns(policy)
+                .telemetry(Telemetry::disabled().with(recorder.clone()))
+                .build()
+                .unwrap();
+            let ctx = AlsContext::new(&net, &config);
+            let mut inc = ctx.incremental(&net);
+            let wps = inc.words_per_signal() as u64;
+            let mut trial = net.clone();
+            trial.replace_with_constant(y, false);
+            let accepted = ctx.update_and_accept(&mut inc, &mut trial, &[y], true, &config);
+            inc.rollback();
+            let early: Vec<u64> = recorder
+                .0
+                .lock()
+                .unwrap()
+                .iter()
+                .filter_map(|e| match *e {
+                    Event::SamplingEscalated {
+                        to_words,
+                        early_reject: true,
+                        ..
+                    } => Some(to_words),
+                    _ => None,
+                })
+                .collect();
+            (accepted, early, wps)
+        };
+        let (accepted, early, wps) = reject(PatternPolicy::Adaptive { min: 64, max: 1024 });
+        assert_eq!(accepted, None);
+        assert_eq!(early.len(), 1, "one early reject: {early:?}");
+        assert!(early[0] < wps, "rejected after {} of {wps} words", early[0]);
+        let (accepted, early, _) = reject(PatternPolicy::Fixed(1024));
+        assert_eq!(accepted, None, "fixed sampling rejects the same trial");
+        assert!(early.is_empty());
     }
 }

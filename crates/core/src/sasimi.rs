@@ -206,27 +206,67 @@ pub(crate) fn sasimi_with_context(
 /// signatures come from the caller's (incremental) view — no fresh
 /// simulation.
 ///
-/// Under [`PatternPolicy::Adaptive`](crate::PatternPolicy::Adaptive) the
-/// pairwise scan — the `O(signals² × words)` bulk of SASIMI's runtime —
-/// probes each pair at a word prefix and doubles coverage only while the
-/// pair could still substitute in some phase
-/// ([`SimView::difference_probe`]). Mismatch and match counts are monotone
-/// in coverage, so a prefix-infeasible pair is exactly a full-scan-rejected
-/// pair: the surviving candidate set, its exact difference counts, and
-/// hence the whole run are byte-identical to fixed sampling.
+/// The pairwise scan ([`scan`]) is the `O(signals² × words)` bulk of
+/// SASIMI's runtime. It reads only the words a decision needs, under every
+/// [`PatternPolicy`](crate::PatternPolicy): a pair whose signal
+/// probabilities already rule out both phases is rejected before any word
+/// is read, and every other pair is probed from a one-word prefix that
+/// doubles only while the pair could still substitute in some phase
+/// ([`SimView::difference_probe`]). Both rejections are exact, so the
+/// surviving candidate set, its difference counts and its order equal a
+/// full-width scan of every pair.
 fn generate_candidates(
     net: &Network,
     sim: SimView<'_>,
     ctx: &AlsContext,
     margin: f64,
 ) -> Vec<Candidate> {
+    let mark = ctx.telemetry_mark();
     let num_patterns = ctx.patterns().num_patterns() as u64; // lint:allow(as-cast): usize fits u64 on all supported targets
     let allowed = (margin * num_patterns as f64).floor() as u64; // lint:allow(as-cast): margin >= 0 and the product <= num_patterns
-    let wps = sim.words_per_signal();
-    // Fixed sampling starts at full width: the probe then returns exact
-    // counts in one round and never early-exits.
-    let start_words = ctx.adaptive_min_words().unwrap_or(wps);
+    let (mut out, stats) = scan(net, sim, num_patterns, allowed);
+    out.sort_by(|a, b| {
+        b.score
+            .total_cmp(&a.score)
+            .then(a.difference.cmp(&b.difference))
+    });
+    ctx.record_similarity_scan(
+        stats.pairs,
+        stats.popcount_rejects + stats.prefix_rejects,
+        stats.words,
+        stats.pairs * sim.words_per_signal() as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
+        mark,
+    );
+    out
+}
 
+/// Work counters of one [`scan`].
+#[derive(Clone, Copy, Debug, Default)]
+struct ScanStats {
+    /// Ordered (target, substitute) pairs outside the target's TFO.
+    pairs: u64,
+    /// Pairs rejected on their signals' popcounts, reading no word.
+    popcount_rejects: u64,
+    /// Pairs rejected from a signature-word prefix.
+    prefix_rejects: u64,
+    /// Signature words read (per signal of a pair).
+    words: u64,
+}
+
+/// The unsorted candidates within `allowed` mismatching patterns, in
+/// target-major, substitute-minor order.
+///
+/// A pair is rejected without reading a word when its popcounts rule out
+/// both phases. The mismatch count of `t` and `s` is at least
+/// `|ones_t − ones_s|`, and the inverted phase's mismatch count `N − diff`
+/// is at least `|ones_t − (N − ones_s)|`. Tail bits are canonically zero, so
+/// the popcounts are exact.
+fn scan(
+    net: &Network,
+    sim: SimView<'_>,
+    num_patterns: u64,
+    allowed: u64,
+) -> (Vec<Candidate>, ScanStats) {
     let targets: Vec<NodeId> = net
         .internal_ids()
         .filter(|&id| !net.node(id).is_constant())
@@ -234,18 +274,41 @@ fn generate_candidates(
     let mut all_signals: Vec<NodeId> = net.pis().to_vec();
     all_signals.extend(targets.iter().copied());
 
-    let mut pairs = 0u64;
-    let mut early_rejects = 0u64;
-    let mut words_scanned = 0u64;
+    let fanouts = net.fanouts();
+    let mut ones = vec![0u64; fanouts.len()];
+    for &s in &all_signals {
+        ones[s.index()] = sim.count_ones(s);
+    }
+    // Each target's TFO (itself included) is marked into one reused buffer
+    // and cleared through the list of nodes it touched.
+    let mut in_tfo = vec![false; fanouts.len()];
+    let mut touched: Vec<NodeId> = Vec::new();
+
+    let mut stats = ScanStats::default();
     let mut out: Vec<Candidate> = Vec::new();
     for &t in &targets {
+        for &n in &touched {
+            in_tfo[n.index()] = false;
+        }
+        touched.clear();
+        touched.push(t);
+        in_tfo[t.index()] = true;
+        let mut next = 0;
+        while let Some(&n) = touched.get(next) {
+            next += 1;
+            for &u in &fanouts[n.index()] {
+                if !std::mem::replace(&mut in_tfo[u.index()], true) {
+                    touched.push(u);
+                }
+            }
+        }
+
         // Deleting t frees its literals (more after simplification; this is
         // the ranking heuristic, the trial measures reality).
         let freed = net.node(t).literal_count();
-        let tfo = net.tfo_mask(t);
         // Constants: cost of t being 1 with probability ~0 or ~1.
-        let ones = sim.count_ones(t);
-        for (constant, diff) in [(false, ones), (true, num_patterns - ones)] {
+        let ones_t = ones[t.index()];
+        for (constant, diff) in [(false, ones_t), (true, num_patterns - ones_t)] {
             if diff <= allowed {
                 out.push(Candidate {
                     target: t,
@@ -257,19 +320,26 @@ fn generate_candidates(
                 });
             }
         }
+        // The inverted phase costs an extra inverter literal, so it is only
+        // ever considered when freed > 1 — pairs without it are decided on
+        // the mismatch bound alone.
+        let max_matches = (freed > 1).then_some(allowed);
         for &s in &all_signals {
-            if s == t || tfo[s.index()] {
+            if in_tfo[s.index()] {
                 continue; // self or would create a cycle
             }
-            // The inverted phase costs an extra inverter literal, so it is
-            // only ever considered when freed > 1 — pairs without it can
-            // early-exit on the mismatch bound alone.
-            let max_matches = (freed > 1).then_some(allowed);
-            let probe = sim.difference_probe(t, s, allowed, max_matches, start_words);
-            pairs += 1;
-            words_scanned += probe.words_scanned;
+            stats.pairs += 1;
+            let ones_s = ones[s.index()];
+            if ones_t.abs_diff(ones_s) > allowed
+                && (max_matches.is_none() || (ones_t + ones_s).abs_diff(num_patterns) > allowed)
+            {
+                stats.popcount_rejects += 1;
+                continue;
+            }
+            let probe = sim.difference_probe(t, s, allowed, max_matches);
+            stats.words += probe.words_scanned;
             if probe.early_exit {
-                early_rejects += 1;
+                stats.prefix_rejects += 1;
                 continue;
             }
             let diff = probe.count;
@@ -298,18 +368,7 @@ fn generate_candidates(
             }
         }
     }
-    ctx.record_similarity_scan(
-        pairs,
-        early_rejects,
-        words_scanned,
-        pairs * wps as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-    );
-    out.sort_by(|a, b| {
-        b.score
-            .total_cmp(&a.score)
-            .then(a.difference.cmp(&b.difference))
-    });
-    out
+    (out, stats)
 }
 
 fn score(freed: usize, diff: u64, num_patterns: u64) -> f64 {
@@ -347,5 +406,213 @@ fn apply(net: &mut Network, cand: &Candidate) -> String {
                 format!("{target_name} ← {source_name}")
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::PatternPolicy;
+    use als_sim::{simulate, PatternSet};
+
+    /// The scan before popcount rejection and policy-independent probing:
+    /// one `tfo_mask` per target and a full-width `difference_count` per
+    /// pair. The exact scan must return the same ranked `Vec`.
+    fn brute_force_candidates(
+        net: &Network,
+        sim: SimView<'_>,
+        num_patterns: u64,
+        allowed: u64,
+    ) -> Vec<Candidate> {
+        let targets: Vec<NodeId> = net
+            .internal_ids()
+            .filter(|&id| !net.node(id).is_constant())
+            .collect();
+        let mut all_signals: Vec<NodeId> = net.pis().to_vec();
+        all_signals.extend(targets.iter().copied());
+        let mut out: Vec<Candidate> = Vec::new();
+        for &t in &targets {
+            let freed = net.node(t).literal_count();
+            let tfo = net.tfo_mask(t);
+            let ones = sim.count_ones(t);
+            for (constant, diff) in [(false, ones), (true, num_patterns - ones)] {
+                if diff <= allowed {
+                    out.push(Candidate {
+                        target: t,
+                        substitute: None,
+                        constant,
+                        inverted: false,
+                        difference: diff,
+                        score: score(freed, diff, num_patterns),
+                    });
+                }
+            }
+            for &s in &all_signals {
+                if s == t || tfo[s.index()] {
+                    continue;
+                }
+                let diff = sim.difference_count(t, s);
+                if diff <= allowed {
+                    out.push(Candidate {
+                        target: t,
+                        substitute: Some(s),
+                        constant: false,
+                        inverted: false,
+                        difference: diff,
+                        score: score(freed, diff, num_patterns),
+                    });
+                }
+                let inv_diff = num_patterns - diff;
+                if inv_diff <= allowed && freed > 1 {
+                    out.push(Candidate {
+                        target: t,
+                        substitute: Some(s),
+                        constant: false,
+                        inverted: true,
+                        difference: inv_diff,
+                        score: score(freed - 1, inv_diff, num_patterns),
+                    });
+                }
+            }
+        }
+        out.sort_by(|a, b| {
+            b.score
+                .total_cmp(&a.score)
+                .then(a.difference.cmp(&b.difference))
+        });
+        out
+    }
+
+    /// Everything a candidate carries, with the score as its bits.
+    fn key(c: &Candidate) -> (NodeId, Option<NodeId>, bool, bool, u64, u64) {
+        (
+            c.target,
+            c.substitute,
+            c.constant,
+            c.inverted,
+            c.difference,
+            c.score.to_bits(),
+        )
+    }
+
+    /// A random layered network of 2-input AND/OR/XOR/NOR gates (the
+    /// recipe of the root package's random-network property tests), drawn
+    /// from a xorshift stream.
+    fn random_network(seed: u64, num_pis: usize, gates: usize) -> Network {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            usize::try_from(state % 1024).unwrap()
+        };
+        let mut net = Network::new("random");
+        let mut signals: Vec<NodeId> = (0..num_pis).map(|i| net.add_pi(format!("x{i}"))).collect();
+        for idx in 0..gates {
+            let a = signals[next() % signals.len()];
+            let b = signals[next() % signals.len()];
+            if a == b {
+                continue;
+            }
+            let cubes: Vec<Cube> = match next() % 4 {
+                0 => vec![Cube::from_literals(&[(0, true), (1, true)]).unwrap()],
+                1 => vec![
+                    Cube::from_literals(&[(0, true)]).unwrap(),
+                    Cube::from_literals(&[(1, true)]).unwrap(),
+                ],
+                2 => vec![
+                    Cube::from_literals(&[(0, true), (1, false)]).unwrap(),
+                    Cube::from_literals(&[(0, false), (1, true)]).unwrap(),
+                ],
+                _ => vec![Cube::from_literals(&[(0, false), (1, false)]).unwrap()],
+            };
+            let id = net.add_node(format!("g{idx}"), vec![a, b], Cover::from_cubes(2, cubes));
+            signals.push(id);
+        }
+        for (i, &s) in signals.iter().rev().take(2).enumerate() {
+            net.add_po(format!("y{i}"), s);
+        }
+        net
+    }
+
+    #[test]
+    fn exact_scan_matches_the_full_width_oracle() {
+        let mut totals = ScanStats::default();
+        let mut inverted = 0usize;
+        for seed in 1..=40u64 {
+            let net = random_network(seed, 4 + (seed % 4) as usize, 6 + (seed % 14) as usize);
+            // Explicit vector sets off the 64-pattern word grid (their
+            // final word is partial), and a random set on it.
+            let vectors: Vec<u64> = (0..1000u64)
+                .map(|i| (i * 0x9E37_79B9 + seed).rotate_left((i % 61) as u32))
+                .collect();
+            for patterns in [
+                PatternSet::from_vectors(net.num_pis(), &vectors[..100]),
+                PatternSet::from_vectors(net.num_pis(), &vectors),
+                PatternSet::random(net.num_pis(), 2048, seed),
+            ] {
+                let num_patterns = patterns.num_patterns();
+                let sim = simulate(&net, &patterns);
+                let view = sim.view();
+                let n = num_patterns as u64;
+                for threshold in [0.0, 0.001, 0.01, 0.05, 0.3] {
+                    let allowed = (threshold * n as f64).floor() as u64;
+                    let oracle = brute_force_candidates(&net, view, n, allowed);
+                    for policy in [
+                        PatternPolicy::Fixed(num_patterns),
+                        PatternPolicy::Adaptive {
+                            min: 64,
+                            max: num_patterns,
+                        },
+                    ] {
+                        let config = AlsConfig::builder()
+                            .threshold(threshold)
+                            .patterns(policy)
+                            .build()
+                            .unwrap();
+                        let ctx = AlsContext::with_patterns(&net, patterns.clone())
+                            .with_sampling(&config);
+                        let got = generate_candidates(&net, view, &ctx, threshold);
+                        assert_eq!(
+                            got.iter().map(key).collect::<Vec<_>>(),
+                            oracle.iter().map(key).collect::<Vec<_>>(),
+                            "seed {seed}, {num_patterns} patterns, threshold {threshold}, {policy:?}"
+                        );
+                    }
+                    let (_, stats) = scan(&net, view, n, allowed);
+                    totals.pairs += stats.pairs;
+                    totals.popcount_rejects += stats.popcount_rejects;
+                    totals.prefix_rejects += stats.prefix_rejects;
+                    inverted += oracle.iter().filter(|c| c.inverted).count();
+                }
+            }
+        }
+        assert!(
+            totals.popcount_rejects > 0,
+            "no pair was rejected by popcount"
+        );
+        assert!(
+            totals.prefix_rejects > 0,
+            "no pair was rejected from a prefix"
+        );
+        assert!(inverted > 0, "no inverted candidate was ever produced");
+        assert!(totals.popcount_rejects + totals.prefix_rejects < totals.pairs);
+    }
+
+    #[test]
+    fn scan_counts_every_pair_outside_the_target_tfo() {
+        let net = random_network(3, 5, 12);
+        let patterns = PatternSet::random(net.num_pis(), 300, 3);
+        let sim = simulate(&net, &patterns);
+        let (_, stats) = scan(&net, sim.view(), 300, 3);
+        let signals = net.num_pis() + net.num_internal();
+        let expected: usize = net
+            .internal_ids()
+            .map(|t| {
+                let tfo = net.tfo_mask(t);
+                signals - net.node_ids().filter(|n| tfo[n.index()]).count()
+            })
+            .sum();
+        assert_eq!(stats.pairs, expected as u64);
     }
 }

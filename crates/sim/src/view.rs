@@ -97,11 +97,10 @@ impl<'a> SimView<'a> {
             .sum()
     }
 
-    /// [`difference_count`](SimView::difference_count) with adaptive
-    /// prefix probing: the scan starts at a `start_words`-word prefix and
-    /// doubles its coverage only while the pair could still be *similar
-    /// enough* — it stops early once the prefix alone proves both phases
-    /// infeasible.
+    /// [`difference_count`](SimView::difference_count) with prefix
+    /// probing: the scan starts at a one-word prefix and doubles its
+    /// coverage only while the pair could still be *similar enough* — it
+    /// stops early once the prefix alone proves both phases infeasible.
     ///
     /// Both mismatch and match counts are monotone in coverage, so over a
     /// prefix of `c` patterns with `e` mismatches:
@@ -132,14 +131,13 @@ impl<'a> SimView<'a> {
         b: NodeId,
         max_mismatches: u64,
         max_matches: Option<u64>,
-        start_words: usize,
     ) -> DiffProbe {
         let wps = self.words_per_signal;
         let wa = self.node_words(a);
         let wb = self.node_words(b);
         let mut mismatches = 0u64;
         let mut scanned = 0usize;
-        let mut end = start_words.clamp(1, wps);
+        let mut end = 1;
         loop {
             for w in scanned..end {
                 mismatches += u64::from((wa[w] ^ wb[w]).count_ones());
@@ -247,7 +245,7 @@ mod tests {
         let view = sim.view();
         let full = view.difference_count(pis[2], y);
         // Unbounded limits: the probe always completes with the exact count.
-        let probe = view.difference_probe(pis[2], y, u64::MAX, Some(u64::MAX), 1);
+        let probe = view.difference_probe(pis[2], y, u64::MAX, Some(u64::MAX));
         assert_eq!(
             probe,
             DiffProbe {
@@ -259,7 +257,7 @@ mod tests {
         // Tight limits on a dissimilar pair: early exit from the first word,
         // and the partial count already exceeds the mismatch limit while the
         // match bound is violated too.
-        let tight = view.difference_probe(pis[2], y, 3, Some(3), 1);
+        let tight = view.difference_probe(pis[2], y, 3, Some(3));
         assert!(tight.early_exit);
         assert_eq!(tight.words_scanned, 1);
         assert!(tight.count > 3 && 64 - tight.count > 3);
@@ -278,9 +276,50 @@ mod tests {
         let p2 = PatternSet::random(2, 256, 7);
         let s2 = simulate(&inv_net, &p2);
         let v2 = s2.view();
-        let inv_probe = v2.difference_probe(a, na, 0, Some(0), 1);
+        let inv_probe = v2.difference_probe(a, na, 0, Some(0));
         assert!(!inv_probe.early_exit, "perfect inverse must scan fully");
         assert_eq!(inv_probe.count, 256, "a vs a' differs everywhere");
+    }
+
+    #[test]
+    fn popcount_bounds_never_exceed_the_difference_counts() {
+        // 100 explicit vectors: the final word is partial, and the inverter
+        // would set its tail bits if they were not canonically zero.
+        let mut net = Network::new("bounds");
+        let pis: Vec<NodeId> = (0..3).map(|i| net.add_pi(format!("x{i}"))).collect();
+        let and = net.add_node(
+            "and",
+            vec![pis[0], pis[1]],
+            Cover::from_cubes(2, [Cube::from_literals(&[(0, true), (1, true)]).unwrap()]),
+        );
+        let inv = net.add_node(
+            "inv",
+            vec![pis[2]],
+            Cover::from_cubes(1, [Cube::from_literals(&[(0, false)]).unwrap()]),
+        );
+        net.add_po("and", and);
+        net.add_po("inv", inv);
+        let vectors: Vec<u64> = (0..100u64).map(|i| (i * 37 + i / 3) % 8).collect();
+        let p = PatternSet::from_vectors(3, &vectors);
+        assert_eq!(p.num_patterns(), 100);
+        let sim = simulate(&net, &p);
+        let view = sim.view();
+        let n = 100u64;
+        let signals = [pis[0], pis[1], pis[2], and, inv];
+        let mut tight = 0;
+        for &a in &signals {
+            for &b in &signals {
+                let (ones_a, ones_b) = (view.count_ones(a), view.count_ones(b));
+                let diff = view.difference_count(a, b);
+                assert!(ones_a.abs_diff(ones_b) <= diff, "{a} vs {b}");
+                // The inverted phase mismatches where the pair agrees.
+                assert!((ones_a + ones_b).abs_diff(n) <= n - diff, "{a} vs {b}'");
+                tight += usize::from((ones_a + ones_b).abs_diff(n) == n - diff);
+            }
+        }
+        // x2 against its inverter meets the inverted bound with equality.
+        assert_eq!(view.difference_count(pis[2], inv), n);
+        assert!(tight >= 2);
     }
 
     #[test]

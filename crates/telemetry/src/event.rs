@@ -129,19 +129,22 @@ pub enum Event {
     },
     /// One pairwise similarity sweep of SASIMI candidate generation
     /// completed, aggregated over all ordered signal pairs (per-pair events
-    /// would flood the log). Under adaptive sampling each pair's signature
-    /// scan starts at a word prefix and doubles only while the pair could
-    /// still substitute in some phase; `early_rejects` counts pairs proven
-    /// infeasible from a prefix.
+    /// would flood the log). A pair whose popcounts rule out both phases is
+    /// rejected without reading a word; every other pair's signature scan
+    /// starts at a one-word prefix and doubles only while the pair could
+    /// still substitute in some phase. `early_rejects` counts both kinds.
     SimilarityScanned {
         /// Ordered signal pairs scanned.
         pairs: u64,
-        /// Pairs rejected from a word prefix (both phases infeasible).
+        /// Pairs rejected before a full-width scan (both phases
+        /// infeasible), by popcount or from a word prefix.
         early_rejects: u64,
         /// Signature words actually read.
         words: u64,
         /// Words a full-width scan of every pair would have read.
         words_full: u64,
+        /// Wall time of the sweep, candidate ranking included.
+        nanos: u64,
     },
     /// One error-rate measurement against the golden reference completed.
     Measured {
@@ -389,11 +392,13 @@ impl Event {
                 early_rejects,
                 words,
                 words_full,
+                nanos,
             } => {
                 obj.set("pairs", pairs)
                     .set("early_rejects", early_rejects)
                     .set("words", words)
-                    .set("words_full", words_full);
+                    .set("words_full", words_full)
+                    .set("nanos", nanos);
             }
             Event::Measured { error_rate, nanos } => {
                 obj.set("error_rate", error_rate).set("nanos", nanos);
@@ -565,6 +570,7 @@ mod tests {
                 early_rejects: 71,
                 words: 310,
                 words_full: 2880,
+                nanos: 6,
             },
             Event::Measured {
                 error_rate: 0.01,

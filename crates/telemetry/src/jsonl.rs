@@ -39,7 +39,10 @@ use std::sync::Mutex;
 /// v7: the `als serve` daemon — job admission emits `job_admitted` lines
 /// (job, queue_depth) and every cross-job artifact-cache lookup emits an
 /// `artifact_cache` line (artifact, hit).
-pub const EVENT_LOG_SCHEMA_VERSION: u64 = 7;
+/// v8: `similarity_scanned` lines carry the sweep's wall time (`nanos`),
+/// and `early_rejects` also counts pairs rejected on popcounts alone under
+/// every pattern policy.
+pub const EVENT_LOG_SCHEMA_VERSION: u64 = 8;
 
 /// A [`TelemetrySink`] that streams every event as one JSON line to a
 /// writer. Lines are written (and the writer flushed) synchronously per

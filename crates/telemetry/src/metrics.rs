@@ -84,11 +84,19 @@ pub struct MetricsReport {
     pub patterns_simulated_words: u64,
     /// Adaptive-sampling decisions made from a prefix of the pattern
     /// budget: trials rejected by a probe round
-    /// (`SamplingEscalated { early_reject: true }`) plus SASIMI candidate
-    /// pairs proven infeasible from a prefix scan
-    /// (`SimilarityScanned::early_rejects`) — zero under
+    /// (`SamplingEscalated { early_reject: true }`) — zero under
     /// `PatternPolicy::Fixed`.
     pub adaptive_early_decisions: u64,
+    /// Ordered signal pairs compared by SASIMI's similarity scans.
+    pub similarity_pairs: u64,
+    /// Scanned pairs rejected before a full-width scan, by popcount or
+    /// from a word prefix, under every pattern policy.
+    pub similarity_early_rejects: u64,
+    /// Signature words the similarity scans read (not written, so not in
+    /// `patterns_simulated_words`).
+    pub similarity_words: u64,
+    /// Wall time of the similarity scans, nanoseconds.
+    pub similarity_nanos: u64,
     /// Error-rate measurements against the golden reference.
     pub measurements: u64,
     /// Candidate-engine refresh calls.
@@ -220,12 +228,16 @@ impl MetricsReport {
                 }
             }
             Event::SimilarityScanned {
+                pairs,
                 early_rejects,
                 words,
+                nanos,
                 ..
             } => {
-                self.patterns_simulated_words += words;
-                self.adaptive_early_decisions += early_rejects;
+                self.similarity_pairs += pairs;
+                self.similarity_early_rejects += early_rejects;
+                self.similarity_words += words;
+                self.similarity_nanos += nanos;
             }
             Event::Measured { nanos, .. } => {
                 self.measurements += 1;
@@ -320,6 +332,13 @@ impl MetricsReport {
             .set("patterns_simulated", self.patterns_simulated)
             .set("patterns_simulated_words", self.patterns_simulated_words)
             .set("adaptive_early_decisions", self.adaptive_early_decisions)
+            .set("similarity_pairs", self.similarity_pairs)
+            .set("similarity_early_rejects", self.similarity_early_rejects)
+            .set("similarity_words", self.similarity_words)
+            .set(
+                "similarity_s",
+                Duration::from_nanos(self.similarity_nanos).as_secs_f64(),
+            )
             .set("measurements", self.measurements)
             .set("refreshes", self.refreshes)
             .set("evaluations", self.evaluations)
@@ -432,6 +451,7 @@ mod tests {
                 early_rejects: 30,
                 words: 70,
                 words_full: 160,
+                nanos: 250,
             },
             Event::EngineRefresh {
                 evaluated: 8,
@@ -509,8 +529,12 @@ mod tests {
         assert_eq!(r.threads, 2);
         assert_eq!(r.simulations, 1);
         assert_eq!(r.patterns_simulated, 64);
-        assert_eq!(r.patterns_simulated_words, 8 + 3 + 70);
-        assert_eq!(r.adaptive_early_decisions, 1 + 30);
+        assert_eq!(r.patterns_simulated_words, 8 + 3);
+        assert_eq!(r.adaptive_early_decisions, 1);
+        assert_eq!(r.similarity_pairs, 40);
+        assert_eq!(r.similarity_early_rejects, 30);
+        assert_eq!(r.similarity_words, 70);
+        assert_eq!(r.similarity_nanos, 250);
         assert_eq!(r.measurements, 1);
         assert_eq!(r.refreshes, 2);
         assert_eq!(r.evaluations, 13);
@@ -565,6 +589,13 @@ mod tests {
             errors: 6,
             early_reject: true,
         });
+        report.absorb(&Event::SimilarityScanned {
+            pairs: 12,
+            early_rejects: 9,
+            words: 21,
+            words_full: 48,
+            nanos: 2_000_000,
+        });
         report.absorb(&Event::SatActivity {
             sat_queries: 16,
             solver_instances: 1,
@@ -587,6 +618,19 @@ mod tests {
             json.get("adaptive_early_decisions").and_then(Json::as_u64),
             Some(1)
         );
+        assert_eq!(
+            json.get("similarity_pairs").and_then(Json::as_u64),
+            Some(12)
+        );
+        assert_eq!(
+            json.get("similarity_early_rejects").and_then(Json::as_u64),
+            Some(9)
+        );
+        assert_eq!(
+            json.get("similarity_words").and_then(Json::as_u64),
+            Some(21)
+        );
+        assert_eq!(json.get("similarity_s").and_then(Json::as_f64), Some(0.002));
         assert_eq!(json.get("resim_nodes").and_then(Json::as_u64), Some(5));
         assert_eq!(
             json.get("resim_skipped_early_exit").and_then(Json::as_u64),

@@ -41,6 +41,7 @@ use als::prelude::*;
 use als::sim::{error_rate, PatternSet};
 use als::telemetry::Json;
 use std::process::ExitCode;
+use std::time::Duration;
 
 /// Exit code for analyzer findings and `cec` disagreement.
 const EXIT_FINDINGS: u8 = 1;
@@ -358,6 +359,15 @@ fn cmd_approximate(args: &[String]) -> Result<(), CliError> {
             eprintln!(
                 "  adaptive:     {:>8}  early decisions from a pattern prefix",
                 m.adaptive_early_decisions
+            );
+        }
+        if m.similarity_pairs > 0 {
+            eprintln!(
+                "  similarity:   {:>8}  pairs ({} rejected early, {} words read, {:.1} ms)",
+                m.similarity_pairs,
+                m.similarity_early_rejects,
+                m.similarity_words,
+                Duration::from_nanos(m.similarity_nanos).as_secs_f64() * 1e3
             );
         }
         eprintln!(

@@ -193,7 +193,8 @@ fn adaptive_sampling_never_changes_the_outcome() {
                     fixed.metrics.adaptive_early_decisions, 0,
                     "fixed sampling must never decide early"
                 );
-                early_decisions += adaptive.metrics.adaptive_early_decisions;
+                early_decisions += adaptive.metrics.adaptive_early_decisions
+                    + adaptive.metrics.similarity_early_rejects;
                 words_saved += fixed
                     .metrics
                     .patterns_simulated_words
