@@ -351,7 +351,8 @@ impl CandidateEngine {
     /// Call it with a network in which every id of `changed` is live. The
     /// cone per changed node `c` is `TFO(c)` (signature / probability
     /// changes) plus, when the engine prices don't-cares, the
-    /// window-influence ball of `c` (structural window changes).
+    /// window-influence ball of `c` (structural window changes). The TFO
+    /// union is one multi-source walk over one fanout table per call.
     ///
     /// `TFO(c)` is identical before and after applying an ASE at `c` (only
     /// fanin edges of `c` change), so a don't-care-free engine needs one call
@@ -365,16 +366,18 @@ impl CandidateEngine {
         if self.cache.entries.is_empty() {
             return;
         }
-        let mut cone: Vec<bool> = Vec::new();
-        for &c in changed {
-            let tfo = net.tfo_mask(c);
-            if cone.is_empty() {
-                cone = vec![false; tfo.len()];
+        // One walk from every changed node over one fanout table: the union
+        // of the per-node TFO cones.
+        let fanouts = net.fanouts();
+        let mut cone = vec![false; fanouts.len()];
+        let mut stack = changed.to_vec();
+        while let Some(n) = stack.pop() {
+            if !std::mem::replace(&mut cone[n.index()], true) {
+                stack.extend(&fanouts[n.index()]);
             }
-            for (slot, hit) in cone.iter_mut().zip(&tfo) {
-                *slot |= hit;
-            }
-            if self.needs_dont_cares && self.config.use_dont_cares {
+        }
+        if self.needs_dont_cares && self.config.use_dont_cares {
+            for &c in changed {
                 let near = window_influence(
                     net,
                     c,
@@ -496,6 +499,7 @@ fn evaluate_all(
     let workers = threads
         .min(pending.len().div_ceil(MIN_NODES_PER_WORKER))
         .max(1);
+    let ase_memo = enumerate_ases(net, config, pending);
     // Every don't-care window of this refresh reads the same fanout lists.
     let fanouts = if needs_dont_cares && config.use_dont_cares {
         net.fanouts()
@@ -506,6 +510,7 @@ fn evaluate_all(
         evaluate_node(
             net,
             &fanouts,
+            &ase_memo,
             sim,
             config,
             needs_dont_cares,
@@ -561,6 +566,29 @@ fn evaluate_all(
     (out, sat_stats)
 }
 
+/// The candidate ASEs of every eligible pending node, keyed by local
+/// function. [`generate_ases`] is a pure function of (expression, fanin
+/// count), so nodes sharing a key share one list, and a circuit repeats few
+/// of them (3–9 distinct keys among the 63–451 eligible nodes of each
+/// registry circuit). A node without an entry is ineligible: too many
+/// fanins, or already constant.
+fn enumerate_ases<'a>(
+    net: &'a Network,
+    config: &AlsConfig,
+    pending: &[(NodeId, u64)],
+) -> HashMap<(&'a Expr, usize), Vec<Ase>> {
+    let mut memo = HashMap::new();
+    for &(id, _) in pending {
+        let node = net.node(id);
+        let k = node.fanins().len();
+        if k <= config.max_fanins && !node.is_constant() {
+            memo.entry((node.expr(), k))
+                .or_insert_with(|| generate_ases(node.expr(), k, config.max_enum_literals));
+        }
+    }
+    memo
+}
+
 /// Sound per-minterm bounds on the node's local pattern distribution from
 /// popcounts alone: exact for `k ≤ 2` (marginals determine one variable;
 /// marginals + one pairwise joint determine two — computed in integer
@@ -603,13 +631,15 @@ fn joint_count_ones(sim: SimView<'_>, a: NodeId, b: NodeId) -> u64 {
     total
 }
 
-/// The per-node work item: ASE enumeration, static bounding (and pruning)
-/// of every candidate, then — only if a candidate survives — local-pattern
-/// statistics, optional don't-care classification and exact pricing.
+/// The per-node work item: static bounding (and pruning) of every candidate
+/// in the node's memoized ASE list, then — only if a candidate survives —
+/// local-pattern statistics, optional don't-care classification and exact
+/// pricing.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_node(
     net: &Network,
     fanouts: &[Vec<NodeId>],
+    ase_memo: &HashMap<(&Expr, usize), Vec<Ase>>,
     sim: SimView<'_>,
     config: &AlsConfig,
     needs_dont_cares: bool,
@@ -621,13 +651,10 @@ fn evaluate_node(
 ) -> NodeOutcome {
     let node = net.node(id);
     let k = node.fanins().len();
-    if k > config.max_fanins || node.is_constant() {
-        return NodeOutcome::empty(signature, budget);
-    }
-    let ases = generate_ases(node.expr(), k, config.max_enum_literals);
-    if ases.is_empty() {
-        return NodeOutcome::empty(signature, budget);
-    }
+    let ases = match ase_memo.get(&(node.expr(), k)) {
+        Some(ases) if !ases.is_empty() => ases,
+        _ => return NodeOutcome::empty(signature, budget),
+    };
 
     // Static bounds first: popcounts only, no per-pattern gather. An exact
     // ASE has an empty ELIP set and a `[0, 0]`-ish interval, so it can
@@ -649,7 +676,7 @@ fn evaluate_node(
                 });
             }
         } else {
-            survivors.push((ase, interval));
+            survivors.push((ase.clone(), interval));
         }
     }
     if survivors.is_empty() {
@@ -711,6 +738,7 @@ fn evaluate_node(
         sim,
         config,
         needs_dont_cares,
+        budget,
         id,
         &probs,
         &candidates,
@@ -750,26 +778,33 @@ mod tests {
     use als_logic::{Cover, Cube};
     use std::cell::Cell;
 
-    /// What the full-pricing oracle compared: candidates, and the counters
-    /// of the on-demand and full classifications of the same windows.
-    #[derive(Clone, Copy, Debug, Default)]
+    /// What the full-pricing oracle compared: candidates, the counters of
+    /// the on-demand and full classifications of the same windows, and the
+    /// priced nodes with their distinct `(expr, k)` ASE-memo keys.
+    #[derive(Debug, Default)]
     struct OracleTally {
         candidates: usize,
         demand: SolverStats,
         full: SolverStats,
+        priced_nodes: usize,
+        ase_keys: HashSet<(Expr, usize)>,
     }
 
     thread_local! {
-        /// When set, every node this thread prices on demand is re-priced
-        /// from the full classification and compared (see
+        /// When set, every node this thread prices has its memoized ASEs
+        /// compared with a fresh enumeration and, when priced on demand, is
+        /// re-priced from the full classification and compared (see
         /// [`check_against_full_pricing`]).
         static FULL_PRICING_ORACLE: Cell<Option<OracleTally>> = const { Cell::new(None) };
     }
 
-    /// Re-prices `candidates` of node `id` from the *full* don't-care
-    /// classification and asserts every field matches bit for bit; also
-    /// asserts the two classifications agree on every demanded pattern.
-    /// A no-op unless [`FULL_PRICING_ORACLE`] is set on this thread.
+    /// Asserts that the candidates' ASEs of node `id` (expression, kind,
+    /// literals saved and ELIPs, in order) are the survivors of a fresh
+    /// [`generate_ases`] under the same static pruning. When the node was
+    /// priced on demand, also re-prices them from the *full* don't-care
+    /// classification and asserts every field matches bit for bit, and that
+    /// the two classifications agree on every demanded pattern. A no-op
+    /// unless [`FULL_PRICING_ORACLE`] is set on this thread.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn check_against_full_pricing(
         net: &Network,
@@ -777,16 +812,55 @@ mod tests {
         sim: SimView<'_>,
         config: &AlsConfig,
         needs_dont_cares: bool,
+        budget: f64,
         id: NodeId,
         probs: &[f64],
         candidates: &[CandidateEval],
     ) {
-        let Some(mut tally) = FULL_PRICING_ORACLE.get() else {
+        let Some(mut tally) = FULL_PRICING_ORACLE.take() else {
             return;
         };
-        if !(needs_dont_cares && config.use_dont_cares) || config.exact_dont_cares {
-            return;
+        let node = net.node(id);
+        let k = node.fanins().len();
+        let bounds = static_minterm_bounds(net, sim, id);
+        let fresh: Vec<_> = generate_ases(node.expr(), k, config.max_enum_literals)
+            .into_iter()
+            .filter(|ase| bounds.set_probability(&ase.elips).lo <= budget + PRUNE_EPS)
+            .map(|ase| (ase.expr, ase.kind, ase.literals_saved, ase.elips))
+            .collect();
+        let memoized: Vec<_> = candidates
+            .iter()
+            .map(|c| {
+                let ase = &c.ase;
+                (
+                    ase.expr.clone(),
+                    ase.kind,
+                    ase.literals_saved,
+                    ase.elips.clone(),
+                )
+            })
+            .collect();
+        assert_eq!(memoized, fresh, "memoized ASEs diverged at {}", node.name());
+        tally.priced_nodes += 1;
+        tally.ase_keys.insert((node.expr().clone(), k));
+        if needs_dont_cares && config.use_dont_cares && !config.exact_dont_cares {
+            compare_full_pricing(net, fanouts, sim, config, id, probs, candidates, &mut tally);
         }
+        FULL_PRICING_ORACLE.set(Some(tally));
+    }
+
+    /// The on-demand half of [`check_against_full_pricing`].
+    #[allow(clippy::too_many_arguments)]
+    fn compare_full_pricing(
+        net: &Network,
+        fanouts: &[Vec<NodeId>],
+        sim: SimView<'_>,
+        config: &AlsConfig,
+        id: NodeId,
+        probs: &[f64],
+        candidates: &[CandidateEval],
+        tally: &mut OracleTally,
+    ) {
         let mut full_classifier = IncrementalClassifier::default();
         let full = full_classifier.compute(net, id, &config.dont_care);
         let demand = demanded_patterns(candidates.iter().map(|c| &c.ase), probs);
@@ -823,7 +897,6 @@ mod tests {
         tally.candidates += candidates.len();
         tally.demand.merge(&demand_classifier.stats());
         tally.full.merge(&full_classifier.stats());
-        FULL_PRICING_ORACLE.set(Some(tally));
     }
 
     /// Every candidate a single-selection run prices on demand equals its
@@ -855,9 +928,17 @@ mod tests {
                 total.candidates += tally.candidates;
                 total.demand.merge(&tally.demand);
                 total.full.merge(&tally.full);
+                total.priced_nodes += tally.priced_nodes;
+                total.ase_keys.extend(tally.ase_keys);
             }
         }
         assert!(total.candidates > 0, "no candidate was compared");
+        assert!(
+            total.priced_nodes > total.ase_keys.len(),
+            "the ASE memo shared nothing ({} nodes, {} keys)",
+            total.priced_nodes,
+            total.ase_keys.len()
+        );
         assert!(
             total.demand.witnessed > 0,
             "the simulation witnessed nothing"
@@ -867,6 +948,40 @@ mod tests {
             "on-demand pricing skipped no query ({} vs {})",
             total.demand.sat_queries,
             total.full.sat_queries
+        );
+    }
+
+    /// Multi-selection prunes statically, so the memoized lists it prices
+    /// are filtered: every priced node's ASEs must still equal the fresh
+    /// enumeration's survivors, and the memo must have shared lists.
+    #[test]
+    fn memoized_ases_match_fresh_enumeration_under_pruning() {
+        let mut pruned = 0u64;
+        let mut tally = OracleTally::default();
+        for bench in als_circuits::registry::all_benchmarks().into_iter().take(4) {
+            let net = (bench.build)();
+            for threshold in [0.001, 0.05] {
+                let config = AlsConfig::builder()
+                    .threshold(threshold)
+                    .patterns(crate::PatternPolicy::Fixed(256))
+                    .seed(29)
+                    .threads(1)
+                    .build()
+                    .unwrap();
+                FULL_PRICING_ORACLE.set(Some(OracleTally::default()));
+                let out = crate::approximate(&net, crate::Strategy::Multi, &config).unwrap();
+                let run = FULL_PRICING_ORACLE.take().unwrap();
+                pruned += out.metrics.candidates_pruned;
+                tally.priced_nodes += run.priced_nodes;
+                tally.ase_keys.extend(run.ase_keys);
+            }
+        }
+        assert!(pruned > 0, "no candidate was pruned");
+        assert!(
+            tally.priced_nodes > tally.ase_keys.len(),
+            "the ASE memo shared nothing ({} nodes, {} keys)",
+            tally.priced_nodes,
+            tally.ase_keys.len()
         );
     }
 

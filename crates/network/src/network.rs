@@ -303,6 +303,20 @@ impl Network {
         out
     }
 
+    /// The nodes that use `id` as a fanin, in arena order: exactly
+    /// `self.fanouts()[id.index()]`, without building the whole table.
+    fn users(&self, id: NodeId) -> Vec<NodeId> {
+        let mut users = Vec::new();
+        for u in self.node_ids() {
+            for &f in &self.node(u).fanins {
+                if f == id {
+                    users.push(u);
+                }
+            }
+        }
+        users
+    }
+
     /// A topological order over all live nodes (PIs first, then internal
     /// nodes, fanins always before fanouts).
     ///
@@ -370,13 +384,6 @@ impl Network {
             stack.extend(fanouts[n.index()].iter().copied());
         }
         seen
-    }
-
-    /// The set of primary-input positions (indices into [`Network::pis`])
-    /// that `id` transitively depends on, as a bitmap.
-    pub fn pi_support(&self, id: NodeId) -> Vec<bool> {
-        let tfi = self.tfi_mask(id);
-        self.pis.iter().map(|p| tfi[p.index()]).collect()
     }
 
     /// Logic level of every node (PIs and constants at level 0), indexed by
@@ -454,11 +461,14 @@ impl Network {
             NodeKind::Internal,
             "cannot remove a PI"
         );
-        let tfo = self.tfo_mask(old);
-        assert!(!tfo[new.index()], "substitution would create a cycle");
+        // `new ∈ TFO(old)` ⟺ `old ∈ TFI(new)`: a walk over `new`'s fanin
+        // cone needs no fanout table.
+        assert!(
+            !self.tfi_mask(new)[old.index()],
+            "substitution would create a cycle"
+        );
 
-        let users: Vec<NodeId> = self.fanouts()[old.index()].clone();
-        for user in users {
+        for user in self.users(old) {
             let node = self.node(user);
             let old_fanins = node.fanins.clone();
             let tt = node.cover.to_truth_table();
@@ -535,8 +545,7 @@ impl Network {
                 .filter_map(|id| self.node(id).expr.as_constant().map(|v| (id, v)))
                 .collect();
             for (cid, value) in const_nodes {
-                let users: Vec<NodeId> = self.fanouts()[cid.index()].clone();
-                for user in users {
+                for user in self.users(cid) {
                     let node = self.node(user);
                     let var = node
                         .fanins
@@ -791,13 +800,6 @@ mod tests {
     }
 
     #[test]
-    fn pi_support() {
-        let (net, ids) = fig1_like();
-        let n2 = ids[5];
-        assert_eq!(net.pi_support(n2), vec![false, true, true, true]);
-    }
-
-    #[test]
     fn replace_expr_prunes_fanins() {
         let (mut net, ids) = fig1_like();
         let n2 = ids[5];
@@ -887,6 +889,70 @@ mod tests {
         net.substitute(g2, g1);
         assert_eq!(net.pos()[0].1, g1);
         assert_eq!(net.eval(&[true]), vec![true]);
+    }
+
+    #[test]
+    #[should_panic(expected = "substitution would create a cycle")]
+    fn substitute_into_own_fanout_panics() {
+        let (mut net, ids) = fig1_like();
+        let [_, _, _, _, n1, n2] = ids;
+        // n2 reads n1, so redirecting n1's users to n2 would close a loop.
+        net.substitute(n1, n2);
+    }
+
+    /// Random layered networks of 2- and 3-input gates, then random merges
+    /// (so tombstones and rewritten fanin lists appear): the private users
+    /// scan must equal the fanout table's row for every arena slot.
+    #[test]
+    fn users_equal_fanout_rows_on_random_networks() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        let check = |net: &Network| {
+            let fanouts = net.fanouts();
+            for (i, row) in fanouts.iter().enumerate() {
+                assert_eq!(&net.users(NodeId(i as u32)), row, "users of n{i}");
+            }
+        };
+        let mut users_seen = 0usize;
+        for _ in 0..40 {
+            let mut net = Network::new("random");
+            let mut signals: Vec<NodeId> = (0..5).map(|i| net.add_pi(format!("x{i}"))).collect();
+            for g in 0..(4 + next(20)) {
+                let k = 2 + next(2);
+                let mut fanins: Vec<NodeId> = Vec::new();
+                while fanins.len() < k {
+                    let f = signals[next(signals.len())];
+                    if !fanins.contains(&f) {
+                        fanins.push(f);
+                    }
+                }
+                let lits: Vec<(usize, bool)> = (0..k).map(|v| (v, next(2) == 1)).collect();
+                let cover = if next(2) == 0 {
+                    Cover::from_cubes(k, [cube(&lits)])
+                } else {
+                    Cover::from_cubes(k, lits.iter().map(|&l| cube(&[l])))
+                };
+                signals.push(net.add_node(format!("g{g}"), fanins, cover));
+            }
+            net.add_po("y", *signals.last().unwrap());
+            check(&net);
+            for _ in 0..3 {
+                let internal: Vec<NodeId> = net.internal_ids().collect();
+                let old = internal[next(internal.len())];
+                let new = signals[next(signals.len())];
+                if net.is_live(new) && new != old && !net.tfi_mask(new)[old.index()] {
+                    net.substitute(old, new);
+                    check(&net);
+                }
+            }
+            users_seen += net.node_ids().map(|id| net.users(id).len()).sum::<usize>();
+        }
+        assert!(users_seen > 0, "no fanout edge was compared");
     }
 
     #[test]

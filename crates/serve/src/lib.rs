@@ -8,12 +8,12 @@
 //! each time. This crate packages the synthesis flow as a daemon
 //! (`als serve --listen ADDR`) so repeated requests amortize it:
 //!
-//! - **Protocol** ([`protocol`]): line-delimited JSON over TCP. Every frame
-//!   carries `"v":` [`PROTOCOL_VERSION`]; requests are `synthesize`,
-//!   `cancel`, `stats`, `ping`, `shutdown`, and responses are `accepted`,
-//!   `progress`, `result`, `stats`, `pong`, `bye`, or a typed `error`
-//!   frame ([`ErrorCode`]). The parser is total: arbitrary bytes produce a
-//!   structured error, never a panic.
+//! - **Protocol** ([`parse_request`], [`frame`]): line-delimited JSON over
+//!   TCP. Every frame carries `"v":` [`PROTOCOL_VERSION`]; requests are
+//!   `synthesize`, `cancel`, `stats`, `ping`, `shutdown`, and responses are
+//!   `accepted`, `progress`, `result`, `stats`, `pong`, `bye`, or a typed
+//!   `error` frame ([`ErrorCode`]). The parser is total: arbitrary bytes
+//!   produce a structured error, never a panic.
 //! - **Artifact cache** ([`ArtifactCache`]): keyed by a content hash of the
 //!   circuit source. A hit skips parse + mapping + absint; golden
 //!   simulation signatures are cached one level deeper, per
