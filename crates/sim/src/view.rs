@@ -106,7 +106,9 @@ impl<'a> SimView<'a> {
     /// prefix of `c` patterns with `e` mismatches:
     ///
     /// - `e > max_mismatches` already implies the full-width mismatch count
-    ///   exceeds `max_mismatches` (same-phase substitution infeasible);
+    ///   exceeds `max_mismatches` (same-phase substitution infeasible).
+    ///   `max_mismatches: None` marks the same phase as infeasible from the
+    ///   outset;
     /// - `c − e > max_matches` already implies the full-width *match* count
     ///   exceeds `max_matches` — and the full match count is exactly the
     ///   inverted-phase mismatch count `N − diff` (inverted substitution
@@ -129,7 +131,7 @@ impl<'a> SimView<'a> {
         &self,
         a: NodeId,
         b: NodeId,
-        max_mismatches: u64,
+        max_mismatches: Option<u64>,
         max_matches: Option<u64>,
     ) -> DiffProbe {
         let wps = self.words_per_signal;
@@ -153,7 +155,7 @@ impl<'a> SimView<'a> {
             // Every scanned word is a full 64 patterns (only the final word
             // can be partial, and `scanned < wps` here).
             let covered = (scanned * 64) as u64; // lint:allow(as-cast): usize fits u64 on all supported targets
-            let same_feasible = mismatches <= max_mismatches;
+            let same_feasible = max_mismatches.is_some_and(|mm| mismatches <= mm);
             let inv_feasible = max_matches.is_some_and(|mm| covered - mismatches <= mm);
             if !same_feasible && !inv_feasible {
                 return DiffProbe {
@@ -245,7 +247,7 @@ mod tests {
         let view = sim.view();
         let full = view.difference_count(pis[2], y);
         // Unbounded limits: the probe always completes with the exact count.
-        let probe = view.difference_probe(pis[2], y, u64::MAX, Some(u64::MAX));
+        let probe = view.difference_probe(pis[2], y, Some(u64::MAX), Some(u64::MAX));
         assert_eq!(
             probe,
             DiffProbe {
@@ -257,7 +259,7 @@ mod tests {
         // Tight limits on a dissimilar pair: early exit from the first word,
         // and the partial count already exceeds the mismatch limit while the
         // match bound is violated too.
-        let tight = view.difference_probe(pis[2], y, 3, Some(3));
+        let tight = view.difference_probe(pis[2], y, Some(3), Some(3));
         assert!(tight.early_exit);
         assert_eq!(tight.words_scanned, 1);
         assert!(tight.count > 3 && 64 - tight.count > 3);
@@ -276,9 +278,48 @@ mod tests {
         let p2 = PatternSet::random(2, 256, 7);
         let s2 = simulate(&inv_net, &p2);
         let v2 = s2.view();
-        let inv_probe = v2.difference_probe(a, na, 0, Some(0));
+        let inv_probe = v2.difference_probe(a, na, Some(0), Some(0));
         assert!(!inv_probe.early_exit, "perfect inverse must scan fully");
         assert_eq!(inv_probe.count, 256, "a vs a' differs everywhere");
+    }
+
+    #[test]
+    fn difference_probe_without_a_same_phase_limit_only_keeps_inverses() {
+        // 256 random patterns (4 words) of a, a buffer of a, and a'.
+        let mut net = Network::new("phases");
+        let a = net.add_pi("a");
+        let filler = net.add_pi("f");
+        let buf = net.add_node(
+            "buf",
+            vec![a],
+            Cover::from_cubes(1, [Cube::from_literals(&[(0, true)]).unwrap()]),
+        );
+        let na = net.add_node(
+            "na",
+            vec![a],
+            Cover::from_cubes(1, [Cube::from_literals(&[(0, false)]).unwrap()]),
+        );
+        net.add_po("buf", buf);
+        net.add_po("na", na);
+        net.add_po("f", filler);
+        let sim = simulate(&net, &PatternSet::random(2, 256, 11));
+        let view = sim.view();
+        // Identical signatures: the same phase is ruled out from the outset
+        // and the first word already has 64 matches, so the probe stops.
+        let same = view.difference_probe(a, buf, None, Some(0));
+        assert!(same.early_exit, "a same-phase-similar pair must stop early");
+        assert_eq!(same.words_scanned, 1);
+        assert_eq!(same.count, 0);
+        // A perfect inverse never exceeds a zero match limit.
+        let inverse = view.difference_probe(a, na, None, Some(0));
+        assert_eq!(
+            inverse,
+            DiffProbe {
+                count: 256,
+                words_scanned: 4,
+                early_exit: false
+            }
+        );
     }
 
     #[test]

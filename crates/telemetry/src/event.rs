@@ -127,21 +127,28 @@ pub enum Event {
         /// here without simulating the remaining words.
         early_reject: bool,
     },
-    /// One pairwise similarity sweep of SASIMI candidate generation
-    /// completed, aggregated over all ordered signal pairs (per-pair events
-    /// would flood the log). A pair whose popcounts rule out both phases is
-    /// rejected without reading a word; every other pair's signature scan
-    /// starts at a one-word prefix and doubles only while the pair could
-    /// still substitute in some phase. `early_rejects` counts both kinds.
+    /// One similarity sweep of SASIMI candidate generation completed,
+    /// aggregated over the pairs it examined (per-pair events would flood
+    /// the log). An equal-signature pre-pass ranks the zero-difference
+    /// candidates first; the pairwise scan then fills the remaining trial
+    /// slots under a mismatch bound that tightens as they fill. A pair
+    /// whose popcounts rule out both phases is rejected without reading a
+    /// word; every other pair's signature scan starts at a one-word prefix
+    /// and doubles only while the pair could still enter in some phase.
+    /// `early_rejects` counts both kinds.
     SimilarityScanned {
-        /// Ordered signal pairs scanned.
+        /// Ordered signal pairs the scan examined. Pairs of a target whose
+        /// candidates cannot enter the ranked list are never examined, and
+        /// a scan served entirely by the equal-signature pre-pass examines
+        /// none.
         pairs: u64,
         /// Pairs rejected before a full-width scan (both phases
         /// infeasible), by popcount or from a word prefix.
         early_rejects: u64,
-        /// Signature words actually read.
+        /// Signature words the scan read, the pre-pass's equality checks
+        /// included.
         words: u64,
-        /// Words a full-width scan of every pair would have read.
+        /// Words a full-width scan of every examined pair would have read.
         words_full: u64,
         /// Wall time of the sweep, candidate ranking included.
         nanos: u64,

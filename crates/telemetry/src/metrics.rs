@@ -87,7 +87,7 @@ pub struct MetricsReport {
     /// (`SamplingEscalated { early_reject: true }`) — zero under
     /// `PatternPolicy::Fixed`.
     pub adaptive_early_decisions: u64,
-    /// Ordered signal pairs compared by SASIMI's similarity scans.
+    /// Ordered signal pairs examined by SASIMI's similarity scans.
     pub similarity_pairs: u64,
     /// Scanned pairs rejected before a full-width scan, by popcount or
     /// from a word prefix, under every pattern policy.

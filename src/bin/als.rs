@@ -361,7 +361,7 @@ fn cmd_approximate(args: &[String]) -> Result<(), CliError> {
                 m.adaptive_early_decisions
             );
         }
-        if m.similarity_pairs > 0 {
+        if m.similarity_nanos > 0 {
             eprintln!(
                 "  similarity:   {:>8}  pairs ({} rejected early, {} words read, {:.1} ms)",
                 m.similarity_pairs,
@@ -379,6 +379,14 @@ fn cmd_approximate(args: &[String]) -> Result<(), CliError> {
         eprintln!(
             "  invalidations:{:>8}  ({} cache entries dropped)",
             m.invalidations, m.invalidated_entries
+        );
+        eprintln!(
+            "  pruned:       {:>8}  candidates ({} nodes skipped)",
+            m.candidates_pruned, m.nodes_skipped
+        );
+        eprintln!(
+            "  sat:          {:>8}  queries ({} solver instances)",
+            m.sat_queries, m.solver_instances
         );
         if m.knapsack_solves > 0 {
             eprintln!(
